@@ -6,6 +6,8 @@
 // (structure-of-arrays CellBatch::step_all instead of a virtual-free but
 // pointer-chasing per-cell object loop), and the pub/sub plane (span
 // publish into a reusable arena instead of one owning vector per sample).
+// A fourth gauge times back-to-back WorkerPool rounds of trivial tasks, so
+// the per-round handoff cost the fleet tick loop pays is gated as well.
 // To make the win measurable inside one binary, this experiment embeds a
 // faithful miniature of the *pre-rework* kernel (same containers, same
 // re-arm-before-dispatch semantics, same per-dispatch handler copy) and
@@ -24,11 +26,13 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "ev/battery/cell.h"
 #include "ev/battery/cell_batch.h"
+#include "ev/campaign/worker_pool.h"
 #include "ev/config/scenario.h"
 #include "ev/core/scenario.h"
 #include "ev/middleware/pubsub.h"
@@ -319,6 +323,33 @@ PublishAB measure_publish(int samples) {
   return ab;
 }
 
+// --- worker pool: the per-round handoff --------------------------------------
+
+constexpr int kPoolRounds = 25000;
+
+struct PoolRounds {
+  int jobs = 0;
+  double wall_s = 0.0;
+};
+
+/// Best of three timings of kPoolRounds back-to-back rounds of 1536 trivial
+/// tasks (the scaled depot's station count) on min(4, hardware) jobs: the
+/// cost is almost all handoff, so a return to mutex/condition-variable
+/// rounds (~100+ us each) shows up as a many-fold wall-time regression.
+PoolRounds measure_pool_rounds() {
+  constexpr int kTasks = 1536;
+  PoolRounds out;
+  out.jobs = std::min(4, std::max(1, static_cast<int>(std::thread::hardware_concurrency())));
+  std::vector<std::uint64_t> slots(kTasks);
+  out.wall_s = best_wall_of3([&] {
+    ev::campaign::WorkerPool pool(out.jobs);
+    for (int round = 0; round < kPoolRounds; ++round)
+      pool.run(kTasks, [&slots](int i) { slots[static_cast<std::size_t>(i)] += 1; });
+  });
+  benchmark::DoNotOptimize(slots.data());
+  return out;
+}
+
 // --- the whole vehicle, once, on the clock -----------------------------------
 
 double measure_scenario() {
@@ -343,6 +374,7 @@ void run_experiment() {
   const PublishAB publish = measure_publish(/*samples=*/1'000'000);
   const double publish_speedup = publish.owning_s / publish.span_s;
   const double scenario_s = measure_scenario();
+  const PoolRounds pool = measure_pool_rounds();
 
   ev::util::Table table("hot-path A/B (best of 3, identical workloads)",
                         {"stage", "before [s]", "after [s]", "speedup"});
@@ -364,6 +396,9 @@ void run_experiment() {
   std::printf("SoA vs AoS mean-SoC delta: %.3g (bit-exactness claim)\n",
               cells.checksum_delta);
   std::printf("full urban scenario, single seed: %.3f s wall\n", scenario_s);
+  std::printf("worker pool, %d rounds of 1536 trivial tasks on %d jobs: %.3f s wall "
+              "(%.2f us/round)\n",
+              kPoolRounds, pool.jobs, pool.wall_s, pool.wall_s / kPoolRounds * 1e6);
   std::printf("kernel speedup %.2fx >= 2x target: %s\n\n", kernel_speedup,
               kernel_speedup >= 2.0 ? "yes" : "NO");
 
@@ -382,6 +417,7 @@ void run_experiment() {
   evbench::set_gauge("e21.publish.span_wall_s", publish.span_s);
   evbench::set_gauge("e21.publish.speedup", publish_speedup);
   evbench::set_gauge("e21.scenario.wall_s", scenario_s);
+  evbench::set_gauge("e21.pool.round_wall_s", pool.wall_s);
   evbench::set_gauge("e21.speedup_target_met", kernel_speedup >= 2.0 ? 1.0 : 0.0);
 }
 

@@ -198,22 +198,28 @@ FleetResult run_fleet(const config::FleetSpec& spec, int jobs,
   double next_rebalance_s = 0.0;
   double prev_t = 0.0;
   double capacity_kw = spec.grid_capacity_kw;
+  bool island = false;
 
   for (std::uint64_t tick = 0; tick < result.ticks; ++tick) {
     const double t = static_cast<double>(tick) * spec.tick_s;
 
-    // (1) Grid state for this tick, straight off the immutable timeline.
-    capacity_kw = spec.grid_capacity_kw * timeline.capacity_scale(t);
-    bool island = false;
-    for (std::uint64_t feeder = 0; feeder < spec.feeders; ++feeder)
-      island = island || timeline.feeder_partitioned(feeder, t);
-    for (std::uint32_t i = 0; i < n; ++i)
-      reachable[i] = !timeline.station_blacked_out(i, t) &&
-                     !timeline.feeder_partitioned(i % spec.feeders, t);
+    // (1) Grid state for this tick, straight off the immutable timeline. It
+    // can only differ from the previous tick's when an event starts or ends
+    // in (prev_t, t], so it is recomputed on tick 0 and on those ticks only.
+    const bool grid_changed = tick == 0 || timeline.changed_between(prev_t, t);
+    if (grid_changed) {
+      capacity_kw = spec.grid_capacity_kw * timeline.capacity_scale(t);
+      island = false;
+      for (std::uint64_t feeder = 0; feeder < spec.feeders; ++feeder)
+        island = island || timeline.feeder_partitioned(feeder, t);
+      for (std::uint32_t i = 0; i < n; ++i)
+        reachable[i] = !timeline.station_blacked_out(i, t) &&
+                       !timeline.feeder_partitioned(i % spec.feeders, t);
+    }
 
     // (2) Rebalance on cadence — or immediately when the grid changed, so a
     // capacity drop is answered within one tick, not one period.
-    if (tick == 0 || t >= next_rebalance_s || timeline.changed_between(prev_t, t)) {
+    if (grid_changed || t >= next_rebalance_s) {
       const std::vector<double> grants =
           central.rebalance(t, capacity_kw, reachable, island);
       for (std::uint32_t i = 0; i < n; ++i)

@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "ev/config/scenario.h"
 #include "ev/core/architecture.h"
@@ -300,6 +301,39 @@ TEST(Subsystems, ResultJsonIsDeterministic) {
   const std::string b = run_once();
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+}
+
+TEST(Subsystems, ObservabilityDoesNotChangeTheDrive) {
+  // Observers only watch: the same spec with obs on and off must drive and
+  // report telemetry byte for byte the same. Faults, health and security are
+  // on so the observers ride along every layer they can attach to.
+  ev::config::ScenarioSpec spec;
+  spec.powertrain.seed = 7;
+  spec.subsystems.faults = true;
+  spec.subsystems.health = true;
+  spec.subsystems.security = true;
+  spec.fault_seed = 42;
+  spec.faults = {ev::config::FaultEventSpec{
+      2.0, ev::config::FaultKind::kBusCorrupt, "safety_can", 4.0}};
+  auto drive_and_telemetry = [](const ev::config::ScenarioSpec& s) {
+    auto vehicle = build_vehicle(s);
+    ScenarioRunResult result;
+    result.scenario = s.name;
+    result.cosim = vehicle->run(short_cycle());
+    const std::string json = result_json(result);
+    const std::size_t drive = json.find("\"drive\":");
+    const std::size_t subsystems = json.find("\"subsystems\":");
+    EXPECT_NE(drive, std::string::npos);
+    EXPECT_NE(subsystems, std::string::npos);
+    EXPECT_EQ(json.find("\"obs\":") != std::string::npos, s.subsystems.obs);
+    return json.substr(drive, subsystems - drive);  // drive + telemetry
+  };
+  ev::config::ScenarioSpec quiet = spec;
+  quiet.subsystems.obs = false;
+  const std::string observed = drive_and_telemetry(spec);
+  const std::string unobserved = drive_and_telemetry(quiet);
+  EXPECT_NE(observed.find("\"telemetry\":"), std::string::npos);
+  EXPECT_EQ(observed, unobserved);
 }
 
 TEST(Subsystems, UnknownFaultTargetThrowsOnRun) {

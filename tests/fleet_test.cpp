@@ -5,14 +5,11 @@
 // byte-identical determinism of whole runs across worker counts.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "ev/campaign/worker_pool.h"
 #include "ev/config/fleet.h"
 #include "ev/fleet/central.h"
 #include "ev/fleet/retry.h"
@@ -483,40 +480,6 @@ TEST(FleetRun, MetricsRegistryMatchesReport) {
       result.central.decision_latency_s.count());
   EXPECT_DOUBLE_EQ(metrics.gauge_value(metrics.find("fleet.peak_draw_kw")),
                    result.peak_draw_kw);
-}
-
-// --- WorkerPool -------------------------------------------------------------
-
-TEST(WorkerPool, RunsEveryIndexAcrossRounds) {
-  ev::campaign::WorkerPool pool(4);
-  for (int round = 0; round < 50; ++round) {
-    std::vector<int> hits(64, 0);
-    pool.run(64, [&](int i) { hits[static_cast<std::size_t>(i)] += 1; });
-    for (int i = 0; i < 64; ++i)
-      ASSERT_EQ(hits[static_cast<std::size_t>(i)], 1) << "round " << round;
-  }
-}
-
-TEST(WorkerPool, SingleJobRunsInline) {
-  ev::campaign::WorkerPool pool(1);
-  EXPECT_EQ(pool.jobs(), 1);
-  std::vector<int> order;
-  pool.run(8, [&](int i) { order.push_back(i); });
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(WorkerPool, RethrowsTaskException) {
-  ev::campaign::WorkerPool pool(3);
-  EXPECT_THROW(
-      pool.run(16,
-               [&](int i) {
-                 if (i == 7) throw std::runtime_error("boom");
-               }),
-      std::runtime_error);
-  // The pool must still be usable after an exception round.
-  std::atomic<int> done{0};
-  pool.run(16, [&](int) { done.fetch_add(1); });
-  EXPECT_EQ(done.load(), 16);
 }
 
 }  // namespace
