@@ -41,6 +41,11 @@ struct FleetSpec {
   std::string name = "fleet";
 
   // Fleet shape and clock.
+  /// Largest fleet.stations validate() accepts. Every station owns state
+  /// and an outbox, so the bound keeps a typo from becoming an allocation
+  /// failure; it sits far above the largest depot run (1536 stations).
+  static constexpr std::uint64_t kMaxStations = 1'000'000;
+
   std::uint64_t stations = 64;   ///< Charge points, index 0..stations-1.
   std::uint64_t feeders = 4;     ///< Grid feeders; station i is on i % feeders.
   double sim_hours = 2.0;        ///< Simulated span.

@@ -71,6 +71,8 @@ void FleetSpec::validate() const {
   if (name.find_first_of(" \t\n=") != std::string::npos)
     fail("fleet: name must not contain whitespace or '='");
   if (stations == 0) fail("fleet: fleet.stations must be positive");
+  if (stations > kMaxStations)
+    fail("fleet: fleet.stations must not exceed " + std::to_string(kMaxStations));
   if (feeders == 0) fail("fleet: fleet.feeders must be positive");
   if (feeders > stations) fail("fleet: fleet.feeders must not exceed fleet.stations");
   if (sim_hours <= 0.0) fail("fleet: fleet.sim_hours must be positive");

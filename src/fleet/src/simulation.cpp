@@ -139,6 +139,8 @@ FleetResult run_fleet(const config::FleetSpec& spec, int jobs,
                       obs::MetricsRegistry* metrics) {
   spec.validate();
 
+  // validate() caps stations at FleetSpec::kMaxStations, so this narrowing
+  // and the int `count` below are exact.
   const auto n = static_cast<std::uint32_t>(spec.stations);
   const faults::GridFaultTimeline timeline = build_timeline(spec);
   const security::Key master = derive_master(spec.seed);
@@ -194,7 +196,7 @@ FleetResult run_fleet(const config::FleetSpec& spec, int jobs,
   campaign::WorkerPool pool(jobs);
   std::vector<std::vector<Message>> outboxes(n);
   std::vector<bool> reachable(n, true);
-  const int count = static_cast<int>(n);
+  const int count = static_cast<int>(n);  // n <= kMaxStations < INT_MAX
   double next_rebalance_s = 0.0;
   double prev_t = 0.0;
   double capacity_kw = spec.grid_capacity_kw;

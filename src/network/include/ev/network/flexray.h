@@ -3,6 +3,10 @@
 /// deterministic backbone candidate — a TDMA *static segment* giving
 /// time-triggered frames fixed slots each cycle, plus a minislot-arbitrated
 /// *dynamic segment* for event-triggered traffic, at 10 Mbit/s.
+///
+/// The cycle clock runs only while a frame waits (FrameClock): a frame
+/// enqueued at instant t rides the first grid cycle start + k·cycle at or
+/// after t that has not already run.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +15,7 @@
 #include <vector>
 
 #include "ev/network/bus.h"
+#include "ev/network/frame_clock.h"
 
 namespace ev::network {
 
@@ -38,7 +43,8 @@ class FlexRayBus : public Bus {
   FlexRayBus(sim::Simulator& sim, std::string name, FlexRayConfig config,
              double bit_rate_bps = 10e6);
 
-  /// Starts cycle execution at \p start.
+  /// Fixes the cycle grid at \p start; cycles run from then on whenever a
+  /// frame waits.
   void start(sim::Time start = {});
 
   /// Communication-cycle length [s].
@@ -61,7 +67,10 @@ class FlexRayBus : public Bus {
   bool do_send(Frame frame) override;
 
  private:
+  /// One communication cycle: every buffered static slot, then as many
+  /// dynamic frames as the minislots hold.
   void run_cycle();
+  void arm_cycle() { clock_.arm(simulator(), [this] { run_cycle(); }); }
 
   FlexRayConfig config_;
   double slot_s_;            ///< Static slot duration.
@@ -70,7 +79,7 @@ class FlexRayBus : public Bus {
   std::map<std::uint32_t, std::size_t> static_index_;  ///< id -> slot position.
   std::vector<std::optional<Frame>> static_buffer_;
   std::vector<Frame> dynamic_queue_;
-  bool started_ = false;
+  FrameClock clock_;
 };
 
 }  // namespace ev::network

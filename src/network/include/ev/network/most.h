@@ -3,6 +3,11 @@
 /// MOST divides a fixed 44.1 kHz frame into a synchronous region (reserved
 /// streaming bandwidth, constant latency) and an asynchronous region
 /// (packet data, FCFS) — modelled here at the bandwidth-allocation level.
+///
+/// The frame clock runs only while asynchronous data waits (FrameClock):
+/// an async frame enqueued at instant t starts in the first grid frame
+/// start + k·period at or after t that has not already run. Synchronous
+/// streams need no clock; they arrive one frame period after their send.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +15,7 @@
 #include <vector>
 
 #include "ev/network/bus.h"
+#include "ev/network/frame_clock.h"
 
 namespace ev::network {
 
@@ -25,7 +31,8 @@ class MostBus : public Bus {
   MostBus(sim::Simulator& sim, std::string name, std::vector<MostStream> streams,
           double bit_rate_bps = 25e6, double frame_rate_hz = 44100.0);
 
-  /// Starts the ring's frame clock.
+  /// Fixes the frame grid at \p start; frames run from then on whenever
+  /// asynchronous data waits.
   void start(sim::Time start = {});
 
   /// Frame period [s].
@@ -46,15 +53,19 @@ class MostBus : public Bus {
   bool do_send(Frame frame) override;
 
  private:
+  /// One MOST frame: serves the async queue head-first within the frame's
+  /// byte budget.
   void run_frame();
+  void arm_frame() { clock_.arm(simulator(), [this] { run_frame(); }); }
 
   std::map<std::uint32_t, MostStream> streams_;
   double frame_rate_hz_;
   std::size_t frame_bytes_;  ///< Total bytes per MOST frame.
   std::size_t sync_bytes_ = 0;
-  std::vector<Frame> async_queue_;
+  std::vector<Frame> async_queue_;  ///< FCFS; entries before async_head_ are done.
+  std::size_t async_head_ = 0;      ///< Index of the frame being carried.
   std::size_t async_progress_bytes_ = 0;  ///< Bytes of queue head already carried.
-  bool started_ = false;
+  FrameClock clock_;
 };
 
 }  // namespace ev::network

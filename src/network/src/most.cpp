@@ -37,35 +37,58 @@ bool MostBus::do_send(Frame frame) {
     return true;
   }
   async_queue_.push_back(std::move(frame));
+  arm_frame();
   return true;
 }
 
 void MostBus::start(sim::Time start) {
-  if (started_) return;
-  started_ = true;
-  simulator().schedule_periodic(start, sim::Time::seconds(frame_period_s()),
-                                [this] { run_frame(); });
+  if (clock_.started()) return;
+  clock_.start(simulator().now(), start, sim::Time::seconds(frame_period_s()));
+  if (async_head_ < async_queue_.size()) arm_frame();
 }
 
 void MostBus::run_frame() {
+  clock_.ticked(simulator().now());
+  // Plan the frame first: the queued frames [async_head_, finished) complete in
+  // it and the one after them carries `partial` more bytes. If any remain,
+  // the next frame is armed before this one's deliveries are scheduled.
   std::size_t budget = async_bytes_per_frame();
-  while (!async_queue_.empty() && budget > 0) {
-    Frame& head = async_queue_.front();
-    const std::size_t remaining = head.payload_size - async_progress_bytes_;
+  std::size_t finished = async_head_;
+  std::size_t progress = async_progress_bytes_;
+  std::size_t partial = 0;
+  while (finished < async_queue_.size() && budget > 0) {
+    const std::size_t remaining = async_queue_[finished].payload_size - progress;
     if (remaining > budget) {
-      async_progress_bytes_ += budget;
-      account_busy(tx_time(budget * 8));
-      budget = 0;
+      partial = budget;
       break;
     }
     budget -= remaining;
-    account_busy(tx_time(remaining * 8));
-    Frame done = std::move(head);
-    async_queue_.erase(async_queue_.begin());
+    progress = 0;
+    ++finished;
+  }
+  if (finished < async_queue_.size()) arm_frame();
+
+  for (; async_head_ < finished; ++async_head_) {
+    Frame& frame = async_queue_[async_head_];
+    account_busy(tx_time((frame.payload_size - async_progress_bytes_) * 8));
     async_progress_bytes_ = 0;
     // Last fragment lands at the end of this frame period.
     simulator().schedule_in(sim::Time::seconds(frame_period_s()),
-                            [this, done = std::move(done)] { deliver(done); });
+                            [this, done = std::move(frame)] { deliver(done); });
+  }
+  if (partial > 0) {
+    async_progress_bytes_ += partial;
+    account_busy(tx_time(partial * 8));
+  }
+  // Drop the finished prefix: all of it once the queue drains, otherwise
+  // when it is at least half the vector (amortised O(1) per frame).
+  if (async_head_ == async_queue_.size()) {
+    async_queue_.clear();
+    async_head_ = 0;
+  } else if (async_head_ >= 64 && 2 * async_head_ >= async_queue_.size()) {
+    async_queue_.erase(async_queue_.begin(),
+                       async_queue_.begin() + static_cast<std::ptrdiff_t>(async_head_));
+    async_head_ = 0;
   }
 }
 

@@ -6,6 +6,7 @@
 #   malformed, out-of-range, below-minimum or missing flag value, unknown
 #   flag, stray argument   -> exit 2, stderr names the flag and the value
 #   unwritable output      -> exit 1, stderr names the destination
+#   oversized fleet.stations -> exit 1, stderr names the key and its maximum
 # Expects -DEVSYS=<path to the evsys binary> and -DSOURCE_DIR=<repo root>.
 if(NOT DEFINED EVSYS OR NOT DEFINED SOURCE_DIR)
   message(FATAL_ERROR "pass -DEVSYS=<binary> -DSOURCE_DIR=<repo root>")
@@ -115,6 +116,27 @@ if(NOT code EQUAL 0)
   message(FATAL_ERROR "fleet --jobs 0: expected exit 0, got ${code}")
 endif()
 message(STATUS "--jobs 0 is accepted")
+
+# A station count past the stated maximum is refused by validation (exit 1,
+# naming the key) before anything is sized by it.
+file(READ "${fleet}" fleet_text)
+string(REGEX REPLACE "\nfleet\\.stations = [0-9]+" "\nfleet.stations = 99999999999"
+       huge_text "${fleet_text}")
+if(huge_text STREQUAL fleet_text)
+  message(FATAL_ERROR "could not rewrite fleet.stations in ${fleet}")
+endif()
+set(huge_fleet "${CMAKE_CURRENT_BINARY_DIR}/huge_stations.fleet")
+file(WRITE "${huge_fleet}" "${huge_text}")
+execute_process(
+  COMMAND "${EVSYS}" fleet "${huge_fleet}"
+  RESULT_VARIABLE code
+  ERROR_VARIABLE err
+  OUTPUT_QUIET)
+if(NOT code EQUAL 1 OR NOT err MATCHES "fleet\\.stations must not exceed 1000000")
+  message(FATAL_ERROR "fleet.stations = 99999999999: expected exit 1 naming the key, got "
+                      "${code}:\n${err}")
+endif()
+message(STATUS "an oversized fleet.stations is a typed error")
 
 # A full device accepts the open but fails the write: every verb must notice.
 if(EXISTS /dev/full)

@@ -109,6 +109,16 @@ TEST(FleetSpec, ParserRejectsOutOfRangeAndNonFinite) {
   expect_fleet_rejects("fleet.tick_s =\n", "empty");
 }
 
+TEST(FleetSpec, StationCountHasAStatedMaximum) {
+  // Validation must refuse the count before run_fleet sizes anything by it.
+  FleetSpec spec;
+  spec.stations = FleetSpec::kMaxStations;
+  spec.validate();
+  spec.stations = FleetSpec::kMaxStations + 1;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  expect_fleet_rejects("fleet.stations = 99999999999\n", "fleet.stations must not exceed");
+}
+
 TEST(FleetSpec, ValidateRejectsNonFiniteFields) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();

@@ -4,9 +4,12 @@
 // topology builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "ev/network/can.h"
 #include "ev/network/ethernet.h"
@@ -18,6 +21,7 @@
 #include "ev/obs/metrics.h"
 #include "ev/network/topology.h"
 #include "ev/sim/simulator.h"
+#include "ev/util/rng.h"
 
 namespace {
 
@@ -451,6 +455,125 @@ TEST(FlexRay, StateSemanticsOnStaticSlots) {
   EXPECT_EQ(seqs[0], 1u);
 }
 
+// Lazy cycle clock and its tie rule: a frame enqueued at t rides the first
+// grid cycle start + k·C at or after t that has not already run.
+
+// A started FlexRay bus that records every delivery.
+struct FlexRayRig {
+  explicit FlexRayRig(FlexRayConfig cfg = small_flexray()) : bus(sim, "fr", std::move(cfg)) {
+    bus.subscribe([this](const Frame& f, Time at) { delivered.emplace_back(f.id, at); });
+    bus.start();
+  }
+  Time cycle() const { return Time::seconds(bus.cycle_time_s()); }
+  // Slot 0 (id 0x1) delivers its 16-byte payload this long after the cycle.
+  static Time slot0_tx() {
+    return Time::seconds(static_cast<double>(FlexRayBus::frame_bits(16)) / 10e6);
+  }
+  void send(std::uint32_t id, std::size_t bytes = 16) {
+    Frame f;
+    f.id = id;
+    f.payload_size = bytes;
+    ASSERT_TRUE(bus.send(f));
+  }
+  void send_at(Time at, std::uint32_t id, std::size_t bytes = 16) {
+    sim.schedule_at(at, [this, id, bytes] { send(id, bytes); });
+  }
+
+  Simulator sim;
+  FlexRayBus bus;
+  std::vector<std::pair<std::uint32_t, Time>> delivered;
+};
+
+TEST(FlexRay, IdleBusSchedulesNoCycles) {
+  FlexRayRig rig;
+  rig.sim.run_until(Time::s(1));
+  EXPECT_EQ(rig.sim.dispatched(), 0u);
+}
+
+TEST(FlexRay, SendBetweenGridPointsRidesNextCycle) {
+  FlexRayRig rig;
+  const Time c = rig.cycle();
+  rig.send_at(c * 3 + Time::ns(100), 0x1);
+  rig.sim.run_until(Time::s(1));
+  ASSERT_EQ(rig.delivered.size(), 1u);
+  EXPECT_EQ(rig.delivered[0].second, c * 4 + FlexRayRig::slot0_tx());
+  EXPECT_EQ(rig.sim.dispatched(), 3u);  // send, one cycle, delivery
+}
+
+TEST(FlexRay, SendOnIdleGridPointRidesThatCycle) {
+  FlexRayRig rig;
+  const Time c = rig.cycle();
+  rig.send_at(c * 3, 0x1);
+  rig.sim.run_until(Time::s(1));
+  ASSERT_EQ(rig.delivered.size(), 1u);
+  EXPECT_EQ(rig.delivered[0].second, c * 3 + FlexRayRig::slot0_tx());
+}
+
+TEST(FlexRay, SendAtInstantOfEmptyingCycleWaitsOnePeriod) {
+  FlexRayRig rig;
+  const Time c = rig.cycle();
+  // 0x1 arms the cycle at 3C; 0x2's send, scheduled after that, runs once
+  // the cycle at 3C has emptied the bus.
+  rig.sim.schedule_at(c * 3 - Time::ns(100), [&rig, c] {
+    rig.send(0x1);
+    rig.send_at(c * 3, 0x2);
+  });
+  rig.sim.run_until(Time::s(1));
+  ASSERT_EQ(rig.delivered.size(), 2u);
+  EXPECT_EQ(rig.delivered[0].first, 0x1u);
+  EXPECT_EQ(rig.delivered[0].second, c * 3 + FlexRayRig::slot0_tx());
+  EXPECT_EQ(rig.delivered[1].first, 0x2u);
+  EXPECT_GT(rig.delivered[1].second, c * 4);
+  EXPECT_LT(rig.delivered[1].second, c * 5);
+}
+
+TEST(FlexRay, SendWhileClockRunsRidesNextCycle) {
+  FlexRayConfig cfg = small_flexray();
+  cfg.minislot_count = 10;  // one 32-byte dynamic frame per cycle
+  FlexRayRig rig(cfg);
+  const Time c = rig.cycle();
+  rig.sim.schedule_at(Time::ns(c.count_ns() / 2), [&rig] {
+    for (std::uint32_t i = 0; i < 4; ++i) rig.send(0x200 + i, 32);
+  });
+  rig.send_at(c * 2 + Time::ns(100), 0x1);
+  rig.sim.run_until(Time::s(1));
+  ASSERT_EQ(rig.delivered.size(), 5u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(rig.delivered[i < 2 ? i : i + 1].first, 0x200 + i);
+  }
+  EXPECT_EQ(rig.delivered[2].first, 0x1u);
+  EXPECT_EQ(rig.delivered[2].second, c * 3 + FlexRayRig::slot0_tx());
+  // Cycles 1..4 carry the backlog; none runs after it drains.
+  EXPECT_EQ(rig.sim.dispatched(), 2u + 4u + 5u);
+}
+
+TEST(FlexRay, NextCycleRunsBeforeSameInstantDelivery) {
+  // No idle time and a one-minislot dynamic segment that an 8-byte frame
+  // fills exactly: a dynamic frame lands on the next cycle's start.
+  FlexRayConfig cfg = small_flexray();
+  cfg.nit_s = 0.0;
+  cfg.minislot_count = 1;
+  cfg.minislot_s = static_cast<double>(FlexRayBus::frame_bits(8)) / 10e6;
+  FlexRayRig rig(cfg);
+  const Time c = rig.cycle();
+  rig.bus.subscribe([&rig](const Frame& f, Time) {
+    if (f.id == 0x200) rig.send(0x1);
+  });
+  rig.sim.schedule_at(Time::ns(c.count_ns() / 2), [&rig] {
+    rig.send(0x200, 8);
+    rig.send(0x201, 8);  // still queued, so the cycle at 2C is armed
+  });
+  rig.sim.run_until(Time::s(1));
+  ASSERT_EQ(rig.delivered.size(), 3u);
+  EXPECT_EQ(rig.delivered[0].first, 0x200u);
+  EXPECT_EQ(rig.delivered[0].second, c * 2);
+  EXPECT_EQ(rig.delivered[1].first, 0x201u);
+  EXPECT_EQ(rig.delivered[1].second, c * 3);
+  // The cycle at 2C ran before 0x200's delivery sent 0x1: it rides 3C.
+  EXPECT_EQ(rig.delivered[2].first, 0x1u);
+  EXPECT_EQ(rig.delivered[2].second, c * 3 + FlexRayRig::slot0_tx());
+}
+
 // ----------------------------------------------------------------- MOST ----
 
 TEST(Most, SynchronousStreamConstantLatency) {
@@ -493,6 +616,163 @@ TEST(Most, SyncReservationBoundsChecked) {
   Simulator sim;
   EXPECT_THROW(MostBus(sim, "most", {{0x1, 100}, {0x2, 100}}, 25e6, 44100.0),
                std::invalid_argument);
+}
+
+// Lazy frame clock and its tie rule: an async frame enqueued at t starts in
+// the first grid frame start + k·P at or after t that has not already run,
+// and lands one period after the frame that carries its last byte.
+
+// A started MOST ring without synchronous streams (63 async bytes per
+// frame) that records every delivery.
+struct MostRig {
+  explicit MostRig(Time start = {}) : bus(sim, "most", {}) {
+    bus.subscribe([this](const Frame& f, Time at) { delivered.emplace_back(f.id, at); });
+    bus.start(start);
+  }
+  Time period() const { return Time::seconds(bus.frame_period_s()); }
+  void send(std::uint32_t id, std::size_t bytes) {
+    Frame f;
+    f.id = id;
+    f.payload_size = bytes;
+    ASSERT_TRUE(bus.send(f));
+  }
+  void send_at(Time at, std::uint32_t id, std::size_t bytes) {
+    sim.schedule_at(at, [this, id, bytes] { send(id, bytes); });
+  }
+
+  Simulator sim;
+  MostBus bus;
+  std::vector<std::pair<std::uint32_t, Time>> delivered;
+};
+
+TEST(Most, IdleRingSchedulesNoFrames) {
+  MostRig rig;
+  ASSERT_EQ(rig.bus.async_bytes_per_frame(), 63u);
+  rig.sim.run_until(Time::s(1));
+  EXPECT_EQ(rig.sim.dispatched(), 0u);
+}
+
+TEST(Most, SendBetweenGridPointsRidesNextFrame) {
+  MostRig rig;
+  const Time p = rig.period();
+  rig.send_at(p * 3 + Time::ns(100), 0x900, 10);
+  rig.sim.run_until(Time::s(1));
+  ASSERT_EQ(rig.delivered.size(), 1u);
+  EXPECT_EQ(rig.delivered[0].second, p * 5);
+  EXPECT_EQ(rig.sim.dispatched(), 3u);  // send, one frame, delivery
+}
+
+TEST(Most, SendOnIdleGridPointRidesThatFrame) {
+  MostRig rig;
+  const Time p = rig.period();
+  rig.send_at(p * 3, 0x900, 10);
+  rig.sim.run_until(Time::s(1));
+  ASSERT_EQ(rig.delivered.size(), 1u);
+  EXPECT_EQ(rig.delivered[0].second, p * 4);
+}
+
+TEST(Most, SendAtInstantOfEmptyingFrameWaitsOnePeriod) {
+  MostRig rig;
+  const Time p = rig.period();
+  // 0x900 arms the frame at 3P; 0x901's send, scheduled after that, runs
+  // once the frame at 3P has emptied the queue.
+  rig.sim.schedule_at(p * 3 - Time::ns(100), [&rig, p] {
+    rig.send(0x900, 10);
+    rig.send_at(p * 3, 0x901, 10);
+  });
+  rig.sim.run_until(Time::s(1));
+  ASSERT_EQ(rig.delivered.size(), 2u);
+  EXPECT_EQ(rig.delivered[0], std::make_pair(0x900u, p * 4));
+  EXPECT_EQ(rig.delivered[1], std::make_pair(0x901u, p * 5));
+}
+
+TEST(Most, SendWhileClockRunsQueuesBehindTransfer) {
+  MostRig rig;
+  const Time p = rig.period();
+  // 200 bytes take frames P..4P (63 + 63 + 63 + 11); 0x901 joins the queue
+  // mid-transfer and shares 4P's remaining budget.
+  rig.send_at(Time::ns(p.count_ns() / 2), 0x900, 200);
+  rig.send_at(p * 2 + Time::ns(p.count_ns() / 2), 0x901, 10);
+  rig.sim.run_until(Time::s(1));
+  ASSERT_EQ(rig.delivered.size(), 2u);
+  EXPECT_EQ(rig.delivered[0], std::make_pair(0x900u, p * 5));
+  EXPECT_EQ(rig.delivered[1], std::make_pair(0x901u, p * 5));
+  EXPECT_EQ(rig.sim.dispatched(), 2u + 4u + 2u);
+}
+
+TEST(Most, NextFrameRunsBeforeSameInstantDelivery) {
+  MostRig rig;
+  const Time p = rig.period();
+  // Frame P completes 0x900 and carries 53 bytes of 0x901, so frame 2P is
+  // armed; it must run before 0x900's delivery at 2P sends 0x902.
+  rig.bus.subscribe([&rig](const Frame& f, Time) {
+    if (f.id == 0x900) rig.send(0x902, 5);
+  });
+  rig.sim.schedule_at(Time::ns(p.count_ns() / 2), [&rig] {
+    rig.send(0x900, 10);
+    rig.send(0x901, 63);
+  });
+  rig.sim.run_until(Time::s(1));
+  ASSERT_EQ(rig.delivered.size(), 3u);
+  EXPECT_EQ(rig.delivered[0], std::make_pair(0x900u, p * 2));
+  EXPECT_EQ(rig.delivered[1], std::make_pair(0x901u, p * 3));
+  EXPECT_EQ(rig.delivered[2], std::make_pair(0x902u, p * 4));
+}
+
+TEST(Most, RandomSendsMatchClosedFormGrid) {
+  // Random send instants (a quarter exactly on grid points) and payloads
+  // of up to ~5 frames against the closed-form schedule: FCFS over a
+  // 63-byte budget per frame on the grid start + k·P.
+  const Time start = Time::ns(777);
+  MostRig rig(start);
+  const Time p = rig.period();
+  const std::int64_t budget = static_cast<std::int64_t>(rig.bus.async_bytes_per_frame());
+  ev::util::Rng rng(20240617);
+  struct Send {
+    Time at;
+    std::size_t bytes;
+  };
+  std::vector<Send> sends;
+  for (int i = 0; i < 400; ++i) {
+    const std::int64_t k = rng.uniform_int(0, 3000);
+    const Time at = rng.uniform_int(0, 3) == 0
+                        ? start + p * k
+                        : Time::ns(rng.uniform_int(0, (start + p * 3000).count_ns()));
+    sends.push_back({at, static_cast<std::size_t>(rng.uniform_int(1, 300))});
+  }
+  for (std::size_t i = 0; i < sends.size(); ++i)
+    rig.send_at(sends[i].at, static_cast<std::uint32_t>(i), sends[i].bytes);
+  rig.sim.run_until(start + p * 4000);
+
+  // Sends dispatch in (time, scheduling order), all before any frame at
+  // the same instant (they were scheduled first).
+  std::vector<std::size_t> order(sends.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return sends[a].at < sends[b].at; });
+  std::map<std::uint32_t, Time> expected;
+  std::int64_t frame = -1;  // grid index of the frame being filled
+  std::int64_t used = budget;
+  for (const std::size_t i : order) {
+    const std::int64_t since = (sends[i].at - start).count_ns();
+    const std::int64_t first = since <= 0 ? 0 : (since + p.count_ns() - 1) / p.count_ns();
+    if (first > frame || used == budget) {
+      frame = std::max(first, frame + 1);
+      used = 0;
+    }
+    std::int64_t left = static_cast<std::int64_t>(sends[i].bytes);
+    while (true) {
+      const std::int64_t take = std::min(left, budget - used);
+      used += take;
+      left -= take;
+      if (left == 0) break;
+      ++frame;
+      used = 0;
+    }
+    expected[static_cast<std::uint32_t>(i)] = start + p * (frame + 1);
+  }
+  ASSERT_EQ(rig.delivered.size(), sends.size());
+  for (const auto& [id, at] : rig.delivered) EXPECT_EQ(at, expected.at(id)) << "frame " << id;
 }
 
 // ------------------------------------------------------------- Ethernet ----
